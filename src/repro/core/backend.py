@@ -534,15 +534,13 @@ def _lfsr_step_block_reference(state_words, n_bits, count, offsets, reverse):
     return bitops.run_lfsr_block_packed(state_words, n_bits, count, offsets, reverse)
 
 
-#: Bits produced per chunk by the chunked LFSR fill (a cache-locality knob).
-_CHUNK_BITS = 1 << 16
-
-
-def _lfsr_step_block_chunked(state_words, n_bits, count, offsets, reverse):
-    # The recurrence has a unique extension given ``n_bits`` of history, so
-    # producing it in bounded chunks (each continuing from the bits the
-    # previous chunk deposited) is bit-identical to one whole-block fill;
-    # only the leapfrog scheduling -- and therefore the working set -- moves.
+def _lfsr_step_block_words(state_words, n_bits, count, offsets, reverse):
+    # Over GF(2), P(x)**64 = P(x**64): once 64 * n_bits bits of history exist,
+    # bit t is the XOR of bits t - 64 * p, i.e. word w of the sequence is the
+    # XOR of the whole words w - p.  The first 64 * n_bits bits come from the
+    # bit-level fill; after that every chunk is a few word XORs with no bit
+    # shifts, still leapfrogging (word offsets p << level once n_bits << level
+    # words exist, exactly like the bit-level schedule).
     total = n_bits + count
     seq = np.zeros(
         (state_words.shape[0], bitops.words_for_bits(total) + 2), dtype=np.uint64
@@ -550,12 +548,29 @@ def _lfsr_step_block_chunked(state_words, n_bits, count, offsets, reverse):
     state_bits = bitops.unpack_bits(state_words, n_bits)
     history = state_bits if reverse else state_bits[:, ::-1]
     seq[:, : bitops.words_for_bits(n_bits)] = bitops.pack_bits(history)
-    produced = 0
-    while produced < count:
-        size = min(_CHUNK_BITS, count - produced)
-        bitops.fill_lfsr_sequence(seq, n_bits + produced, size, offsets)
-        produced += size
-    window = bitops.unpack_bits(seq, total)[:, count:]
+    bitops.fill_lfsr_sequence(seq, n_bits, min(count, 63 * n_bits), offsets)
+    word, end = n_bits, bitops.words_for_bits(total)
+    level = 0
+    while word < end:
+        while (n_bits << (level + 1)) <= word:
+            level += 1
+        length = min(offsets[0] << level, end - word)
+        first, second, *rest = (word - (p << level) for p in offsets)
+        out = seq[:, word : word + length]
+        np.bitwise_xor(
+            seq[:, first : first + length], seq[:, second : second + length], out=out
+        )
+        for start in rest:
+            out ^= seq[:, start : start + length]
+        word += length
+    if end > n_bits and total & 63:
+        # The contract keeps every bit past n_bits + count zero.
+        seq[:, end - 1] &= np.uint64((1 << (total & 63)) - 1)
+    # The end-of-block register is the window of bits [count, count + n_bits).
+    word0, shift = count >> 6, count & 63
+    window = bitops.unpack_bits(
+        seq[:, word0 : word0 + bitops.words_for_bits(n_bits) + 1], shift + n_bits
+    )[:, shift:]
     new_state_words = bitops.pack_bits(window if reverse else window[:, ::-1])
     return seq, new_state_words
 
@@ -592,9 +607,12 @@ def _lfsr_step_block_cases() -> list[dict[str, Any]]:
         (256, 512, 1, False),
         (256, 640, 3, True),
         (256, 64, 2, False),  # count < n_bits
-        (256, _CHUNK_BITS + 320, 2, False),  # crosses a chunk boundary
+        # past 64 * n_bits bits: the word-level recurrence, a count that is
+        # not a multiple of 64 and at least one leapfrog level switch
+        (256, 40_003, 2, False),
         (16, 100, 2, False),
         (16, 96, 2, True),
+        (16, 5_001, 2, True),
         (8, 3, 1, False),  # degenerate: tiny block
     ):
         taps = _lfsr_taps(n_bits)
@@ -662,25 +680,16 @@ def _window_popcounts_cumsum(seq_words, n_bits, count, stride):
 
 
 def _window_popcounts_packed(seq_words, n_bits, count, stride):
-    # Word-aligned strided emission: popcount the packed words directly --
-    # no per-bit unpack of the sequence at all.
+    # Word-aligned strided emission: the pattern after k * stride shifts is
+    # the whole-word window [k * step, k * step + n_words), so its popcount is
+    # a sum of n_words strided slices of the per-word popcounts -- no per-bit
+    # unpack and no running sum.
     word_pc = np.bitwise_count(seq_words[:, : (n_bits + count) // 64])
-    n_words = n_bits // 64
-    words_per_block = stride // 64
-    blocks = count // stride
-    rows = word_pc.shape[0]
-    delta = (
-        word_pc[:, n_words:]
-        .reshape(rows, blocks, words_per_block)
-        .sum(axis=2, dtype=np.int32)
-    )
-    delta -= (
-        word_pc[:, : count // 64]
-        .reshape(rows, blocks, words_per_block)
-        .sum(axis=2, dtype=np.int32)
-    )
-    popcounts = np.cumsum(delta, axis=1, out=delta)
-    popcounts += word_pc[:, :n_words].sum(axis=1, dtype=np.int32)[:, None]
+    n_words, step = n_bits // 64, stride // 64
+    stop = count // 64 + 1
+    popcounts = word_pc[:, step:stop:step].astype(np.int32)
+    for offset in range(1, n_words):
+        popcounts += word_pc[:, step + offset : stop + offset : step]
     return popcounts
 
 
@@ -1083,7 +1092,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
         "lfsr_step_block",
         doc="Run `count` packed LFSR recurrence steps per register row; "
         "returns (seq_words, new_state_words).",
-        chain=("reference",),
+        chain=("words", "reference"),
         rows_of=lambda state_words, n_bits, count, offsets, reverse: (
             state_words.shape[0]
         ),
@@ -1101,10 +1110,10 @@ def _register_builtin(reg: KernelRegistry) -> None:
     reg.register_backend(
         "lfsr_step_block",
         BackendImpl(
-            "chunked",
-            _lfsr_step_block_chunked,
-            description=f"bounded {_CHUNK_BITS}-bit fill chunks "
-            "(cache-locality variant)",
+            "words",
+            _lfsr_step_block_words,
+            description="bit-level leapfrog for the first 64*n bits, then "
+            "whole-word XORs of the P(x^64) recurrence",
         ),
     )
 
@@ -1140,8 +1149,8 @@ def _register_builtin(reg: KernelRegistry) -> None:
         BackendImpl(
             "packed_bitcount",
             _window_popcounts_packed,
-            description="np.bitwise_count on the packed words (word-aligned "
-            "strides only)",
+            description="np.bitwise_count per packed word, summed over "
+            "strided word windows (word-aligned strides only)",
             supports=_window_popcounts_packed_supports,
             available=lambda: hasattr(np, "bitwise_count"),
         ),

@@ -16,6 +16,13 @@ optimisations that this module implements once for both
   set of tap XORs, so the number of chunk iterations grows only
   logarithmically with the block length instead of linearly.
 
+The functions here are the bit-level reference that the kernel dispatch layer
+(:mod:`repro.core.backend`) gates its faster backends against.  The default
+``lfsr_step_block`` backend runs :func:`fill_lfsr_sequence` only for the first
+``64 * n_bits`` bits; past that, ``P(x)**64 = P(x**64)`` makes every output
+word the XOR of whole earlier words, so the bulk of a block needs neither
+:func:`_extract` nor :func:`_deposit`.
+
 Bit convention: bit ``i`` of the sequence lives at bit ``i % 64`` of word
 ``i // 64`` (little-endian within and across words, matching
 ``np.packbits(..., bitorder="little")`` on little-endian hosts).
@@ -88,7 +95,7 @@ def _extract(
 
     With ``out`` (a ``(N, >= words_for_bits(length))`` uint64 workspace) the
     result is written into ``out``'s leading words and no temporaries are
-    allocated -- the chunked recurrence calls this in a tight loop.
+    allocated -- :func:`fill_lfsr_sequence` calls this once per tap per chunk.
     """
     word0, shift = start >> 6, start & 63
     n_words = words_for_bits(length)

@@ -47,6 +47,7 @@ from .lfsr_array import LfsrArray
 __all__ = ["BankedGaussianRNG", "GrngBank", "LfsrRowView"]
 
 _clt_standardise = dispatch("clt_standardise")
+_window_popcounts = dispatch("window_popcounts")
 
 
 @dataclass
@@ -254,44 +255,23 @@ class GrngBank:
     def _generate_reverse_block(
         self, rows: Sequence[int] | None, count: int
     ) -> np.ndarray:
-        n = self._n
         steps = count * self._stride
         selection = slice(None) if rows is None else np.asarray(rows)
-        head_bits = self._array.state_bits(rows)
-        current_sums = self._sums[selection].astype(np.int32)
-        recovered = self._array.generate_bits_reverse(steps, rows=rows).astype(
-            np.int32
+        # In reversed time order the register after j reverse shifts is the
+        # window [j, j + n) of the produced sequence, so the strided window
+        # kernel yields the sums of the earlier patterns directly: the
+        # current pattern is emitted first, then every popcount but the last,
+        # which becomes the running sum.
+        emitted = _window_popcounts(
+            self._array._run_packed(steps, rows, reverse=True),
+            self._n,
+            steps,
+            self._stride,
         )
-        # Stepping back from pattern t to t-1 changes the sum by
-        # (recovered tail of t-1) - (head of t); heads of successive earlier
-        # patterns are the register contents R1, R2, ... of the pre-retrieval
-        # pattern, continuing into the recovered tail stream.
-        heads = np.empty_like(recovered)
-        limit = min(steps, n)
-        heads[:, :limit] = head_bits[:, :limit]
-        if steps > n:
-            heads[:, n:] = recovered[:, : steps - n]
-        np.subtract(recovered, heads, out=recovered)
-        if self._stride == 1:
-            delta = np.cumsum(recovered, axis=1, out=recovered)
-            sums = np.empty_like(delta)
-            sums[:, 0] = current_sums
-            if steps > 1:
-                sums[:, 1:] = current_sums[:, None] + delta[:, :-1]
-            self._sums[selection] = current_sums + delta[:, -1]
-            return self._standardise(sums)
-        # Strided emission needs the cumulative delta only at block
-        # boundaries: reduce per-block, then cumsum over count entries
-        # instead of count * stride steps (bit-identical integer arithmetic).
-        blocks = recovered.reshape(recovered.shape[0], count, self._stride).sum(
-            axis=2, dtype=np.int32
-        )
-        delta = np.cumsum(blocks, axis=1, out=blocks)
-        sums = np.empty_like(delta)
-        sums[:, 0] = current_sums
-        if count > 1:
-            sums[:, 1:] = current_sums[:, None] + delta[:, :-1]
-        self._sums[selection] = current_sums + delta[:, -1]
+        sums = np.empty_like(emitted)
+        sums[:, 0] = self._sums[selection]
+        sums[:, 1:] = emitted[:, :-1]
+        self._sums[selection] = emitted[:, -1]
         return self._standardise(sums)
 
     # ------------------------------------------------------------------

@@ -347,6 +347,21 @@ class TestOverloadIntegrity:
         outcomes_lock = threading.Lock()
 
         with ServingGateway(registry, config) as gateway:
+            # Hold the first tile until the burst has shed once (10 s at
+            # most), so the overload does not hinge on the engine being
+            # slower than 32 client threads start; the admitted requests
+            # still execute afterwards and are compared byte for byte.
+            executor = gateway.prediction_server._executor
+            execute = executor.execute
+            release = threading.Event()
+
+            def held_execute(requests):
+                release.wait(timeout=10)
+                release.set()
+                return execute(requests)
+
+            executor.execute = held_execute
+
             def client(index: int) -> None:
                 input_index = index % len(inputs)
                 status, headers, raw = _raw_post(
@@ -356,6 +371,8 @@ class TestOverloadIntegrity:
                 )
                 with outcomes_lock:
                     outcomes.append((input_index, status, headers, raw))
+                if status == 429:
+                    release.set()
 
             threads = [
                 threading.Thread(target=client, args=(index,))

@@ -5,12 +5,12 @@ wall-clock time but never bits.  Two layers of evidence:
 
 * ``test_registered_conformance_gate`` runs every registered backend of every
   kernel through the registry's own conformance gate (the fixed case set
-  covering dtypes, strides 1 and 256, chunk boundaries and degenerate
-  shapes).  Optional backends whose toolchain is absent (e.g. numba)
+  covering dtypes, strides 1 and 256, the word-level LFSR recurrence and
+  degenerate shapes).  Optional backends whose toolchain is absent (e.g. numba)
   self-skip -- the parametrisation still names them, so a CI log shows
   exactly which backends were exercised where.
 * the hypothesis tests below drive each kernel with *randomised* workloads
-  (random shapes, dtypes, strides 1 / 64 / 256, random register states) and
+  (random shapes, dtypes, strides 1 to 512, random register states) and
   assert the forced backend's output is bit-identical to the reference
   oracle's on the same inputs.
 
@@ -77,7 +77,12 @@ def _backends_for(kernel: str) -> list:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     width=st.sampled_from([8, 16, 256]),
     rows=st.integers(min_value=1, max_value=3),
-    count=st.integers(min_value=1, max_value=2048),
+    # the second range runs past 64 * n bits at every width (16384 bits at
+    # width 256), where the word-level recurrence takes over
+    count=st.one_of(
+        st.integers(min_value=1, max_value=2048),
+        st.integers(min_value=16_000, max_value=40_000),
+    ),
     reverse=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
@@ -107,7 +112,7 @@ def test_lfsr_step_block_matches_oracle(name, seed, width, rows, count, reverse)
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     width=st.sampled_from([64, 256]),
     rows=st.integers(min_value=1, max_value=3),
-    stride=st.sampled_from([1, 64, 256]),
+    stride=st.sampled_from([1, 64, 128, 256, 512]),
     windows=st.integers(min_value=1, max_value=24),
 )
 @settings(max_examples=20, deadline=None)
