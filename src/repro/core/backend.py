@@ -36,7 +36,7 @@ The active selection is captured in
 :class:`~repro.models.zoo.ReplicaSpec` so serving and distributed workers
 rebuild replicas on the same backends as the process that captured them, and
 per-(kernel, backend) call/row counters feed ``ServerStats`` and the gateway's
-``GET /stats`` so operators can see which implementations actually ran.
+``GET /v1/stats`` so operators can see which implementations actually ran.
 
 ``python -m repro.core.backend --list`` prints the registry; ``--verify``
 runs every available backend through its conformance gate.

@@ -40,7 +40,7 @@ from .delta import (
 )
 from .plan import ShardPlan, StepPlan, plan_row_blocks, plan_shards, plan_step
 from .reduce import DistributedReductionError, reduce_step_outputs
-from .respawn import RespawnBudget, RespawnPolicy
+from .pool import RespawnBudget, RespawnPolicy
 from .worker import ShardEngine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -79,7 +79,6 @@ def distributed_trainer(
     policy: "StreamPolicy | None" = None,
     build_seed: int = 0,
     respawn: RespawnPolicy | None = RespawnPolicy(),
-    start_method: str | None = None,
 ) -> "BNNTrainer":
     """Build a :class:`~repro.bnn.trainer.BNNTrainer` on a distributed backend.
 
@@ -104,6 +103,5 @@ def distributed_trainer(
         n_row_blocks=n_row_blocks,
         delta_shipping=delta_shipping,
         respawn=respawn,
-        start_method=start_method,
     )
     return BNNTrainer(model, config, policy=policy, backend=backend)

@@ -7,7 +7,7 @@ optimisation step it:
 1. applies pending **membership changes** -- workers that asked to join or
    leave do so here, at the step boundary (never mid-step), triggering a
    deterministic replan; crashed workers are respawned within the
-   :class:`~repro.distrib.respawn.RespawnPolicy` bounds;
+   :class:`~repro.distrib.pool.RespawnPolicy` bounds;
 2. captures the trainer's canonical state -- parameter values and the
    per-sample generator snapshots of the trainer's own
    :class:`~repro.core.checkpoint.StreamBank` (which in distributed mode is
@@ -46,9 +46,7 @@ and placement (see :mod:`repro.distrib.plan`).
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from dataclasses import dataclass, field
 from queue import Empty
 from typing import TYPE_CHECKING, Callable
 
@@ -64,7 +62,7 @@ from .delta import (
 )
 from .plan import plan_step
 from .reduce import reduce_step_outputs
-from .respawn import RespawnBudget, RespawnPolicy
+from .pool import ProcessPool, RespawnPolicy
 from .worker import PARAM_SLOT_PREFIX, ShardEngine, _worker_main, data_slots
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -85,15 +83,6 @@ _INLINE_RANK = -1
 
 class DistributedStepError(RuntimeError):
     """A training step could not be completed by the worker pool."""
-
-
-@dataclass
-class _TrainWorker:
-    rank: int
-    process: multiprocessing.process.BaseProcess
-    task_queue: object
-    ready: bool = False
-    assigned: set[int] = field(default_factory=set)
 
 
 class DistributedBackend:
@@ -157,7 +146,6 @@ class DistributedBackend:
         delta_shipping: bool = True,
         delta_cache_slots: int = DEFAULT_CACHE_SLOTS,
         respawn: RespawnPolicy | None = RespawnPolicy(),
-        start_method: str | None = None,
         step_timeout: float = 300.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -168,25 +156,26 @@ class DistributedBackend:
         if n_row_blocks < 1:
             raise ValueError("n_row_blocks must be at least 1")
         self._replica = replica
-        self._n_workers = n_workers
         self._auto_shards = n_shards is None
         self._n_shards = n_shards if n_shards is not None else max(n_workers, 1)
         self._n_row_blocks = n_row_blocks
         self._delta_shipping = delta_shipping
         self._delta_cache_slots = delta_cache_slots
-        self._budget = RespawnBudget(respawn or RespawnPolicy(max_respawns=0))
         self._step_timeout = step_timeout
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else available[0]
-        self._ctx = multiprocessing.get_context(start_method)
-        self._workers: list[_TrainWorker] = []
-        self._retired: list[_TrainWorker] = []
         self._encoders: dict[int, DeltaEncoder] = {}
-        self._result_queue = None
+        self._pool = ProcessPool(
+            _worker_main,
+            n_workers,
+            # no policy: no replacements, but a lost task still retries once
+            # on a surviving worker
+            respawn or RespawnPolicy(max_respawns=0),
+            spawn_args=lambda: (self._replica, self._loss),
+            # a departed worker's delta mirror describes a cache that is gone
+            on_retire=lambda worker: self._encoders.pop(worker.rank, None),
+            error=DistributedStepError,
+        )
         self._inline_engine: ShardEngine | None = None
         self._loss = None
-        self._next_rank = 0
         self._task_counter = 0
         self._step_index = 0
         self._started = False
@@ -263,7 +252,7 @@ class DistributedBackend:
     # ------------------------------------------------------------------
     @property
     def n_workers(self) -> int:
-        return self._n_workers
+        return self._pool.n_workers
 
     @property
     def n_shards(self) -> int:
@@ -277,12 +266,12 @@ class DistributedBackend:
     @property
     def alive_workers(self) -> int:
         """Number of worker processes currently alive."""
-        return sum(1 for worker in self._workers if worker.process.is_alive())
+        return self._pool.alive_workers
 
     @property
     def respawns_used(self) -> int:
         """How many replacement workers have been spawned so far."""
-        return self._budget.respawns_used
+        return self._pool.respawns_used
 
     @property
     def pending_joins(self) -> int:
@@ -300,9 +289,9 @@ class DistributedBackend:
         return sum(len(encoder.mirror) for encoder in self._encoders.values())
 
     @property
-    def processes(self) -> list[multiprocessing.process.BaseProcess]:
+    def processes(self) -> list:
         """Current worker processes (tests and diagnostics)."""
-        return [worker.process for worker in self._workers]
+        return self._pool.processes
 
     # ------------------------------------------------------------------
     # elastic membership
@@ -316,7 +305,7 @@ class DistributedBackend:
         """
         if n < 1:
             raise ValueError("must request at least one worker")
-        if self._n_workers == 0 and not self._pending_joins:
+        if self._pool.n_workers == 0 and not self._pending_joins:
             raise RuntimeError(
                 "the inline (n_workers=0) backend has no elastic worker pool"
             )
@@ -330,45 +319,39 @@ class DistributedBackend:
         """
         if n < 1:
             raise ValueError("must release at least one worker")
-        if self._n_workers == 0:
+        if self._pool.n_workers == 0:
             raise RuntimeError(
                 "the inline (n_workers=0) backend has no elastic worker pool"
             )
         self._pending_leaves += n
 
-    def _count_pool_event(self, event: str) -> None:
+    def _count_pool_event(self, event: str, n: int = 1) -> None:
         if self._m_pool is not None:
-            self._m_pool.labels(event=event).inc()
+            self._m_pool.labels(event=event).inc(n)
 
     def _apply_membership(self) -> None:
         """Apply queued join/leave requests and replan (step boundary only)."""
+        pool = self._pool
         changed = False
         while self._pending_leaves > 0:
-            if len(self._workers) <= 1:
+            if len(pool.workers) <= 1:
                 self._pending_leaves = 0
                 raise DistributedStepError(
                     "cannot shrink the worker pool below one worker"
                 )
-            worker = max(self._workers, key=lambda w: w.rank)
-            self._workers.remove(worker)
-            try:
-                worker.task_queue.put(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-            self._retired.append(worker)
-            self._encoders.pop(worker.rank, None)
-            self._n_workers -= 1
+            pool.retire(max(pool.workers, key=lambda w: w.rank), shutdown=True)
+            pool.n_workers -= 1
             self._pending_leaves -= 1
             changed = True
             self._count_pool_event("leave")
         while self._pending_joins > 0:
-            self._workers.append(self._spawn_worker())
-            self._n_workers += 1
+            pool.spawn()
+            pool.n_workers += 1
             self._pending_joins -= 1
             changed = True
             self._count_pool_event("join")
         if changed and self._auto_shards:
-            new_shards = max(self._n_workers, 1)
+            new_shards = max(pool.n_workers, 1)
             if new_shards != self._n_shards:
                 # the sample partition changes, the bits do not: the reducer
                 # replays canonical (sample, row-block) order under any plan
@@ -380,52 +363,17 @@ class DistributedBackend:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _spawn_worker(self) -> _TrainWorker:
-        rank = self._next_rank
-        self._next_rank += 1
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(rank, self._replica, self._loss, task_queue, self._result_queue),
-            daemon=True,
-        )
-        process.start()
-        return _TrainWorker(rank=rank, process=process, task_queue=task_queue)
-
     def _start(self, trainer: "BNNTrainer") -> None:
         self._started = True
         self._loss = trainer.loss
-        if self._n_workers == 0:
+        if self._pool.n_workers == 0:
             self._inline_engine = ShardEngine(self._replica.build(), trainer.loss)
             return
-        self._result_queue = self._ctx.Queue()
-        for _ in range(self._n_workers):
-            self._workers.append(self._spawn_worker())
-        deadline = time.monotonic() + self._step_timeout
-        ready = 0
-        while ready < self._n_workers:
-            try:
-                kind, rank, payload = self._result_queue.get(
-                    timeout=max(0.01, deadline - time.monotonic())
-                )
-            except Empty as exc:
-                self.close(abort=True)
-                raise DistributedStepError(
-                    f"only {ready}/{self._n_workers} training workers became ready"
-                ) from exc
-            if kind == "fatal":
-                self.close(abort=True)
-                raise DistributedStepError(
-                    f"worker failed to build its replica:\n{payload}"
-                )
-            if kind == "ready":
-                self._mark_ready(rank)
-                ready += 1
-
-    def _mark_ready(self, rank: int) -> None:
-        for worker in self._workers:
-            if worker.rank == rank:
-                worker.ready = True
+        try:
+            self._pool.start(self._step_timeout)
+        except DistributedStepError:
+            self.close(abort=True)
+            raise
 
     def close(self, abort: bool = False, timeout: float = 10.0) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -434,23 +382,7 @@ class DistributedBackend:
         self._closed = True
         if self._metrics is not None and self._collector is not None:
             self._metrics.unregister_collector(self._collector)
-        workers = self._workers + self._retired
-        for worker in workers:
-            if abort:
-                if worker.process.is_alive():
-                    worker.process.terminate()
-            else:
-                try:
-                    worker.task_queue.put(None)
-                except Exception:  # pragma: no cover - queue already broken
-                    pass
-        for worker in workers:
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.kill()
-                worker.process.join(timeout=timeout)
-        self._workers = []
-        self._retired = []
+        self._pool.stop(abort=abort, timeout=timeout)
         self._encoders = {}
 
     def __enter__(self) -> "DistributedBackend":
@@ -634,43 +566,33 @@ class DistributedBackend:
     # ------------------------------------------------------------------
     # pooled dispatch with deterministic crash recovery
     # ------------------------------------------------------------------
-    def _dispatch(self, task_id: int, spec: dict) -> _TrainWorker:
-        alive = [w for w in self._workers if w.process.is_alive()]
-        if not alive:
+    def _dispatch(self, task_id: int, spec: dict) -> None:
+        candidates = self._pool.candidates()
+        if not candidates:
             raise DistributedStepError(
                 "no healthy training workers remain and the respawn budget "
-                f"is exhausted ({self._budget.respawns_used} respawns used)"
+                f"is exhausted ({self._pool.respawns_used} respawns used)"
             )
-        # prefer workers whose replica is built (a freshly respawned
-        # replacement is alive but still constructing); least-loaded first
-        candidates = [w for w in alive if w.ready] or alive
-        worker = min(candidates, key=lambda w: len(w.assigned))
+        # least-loaded first, among the built workers when there are any
+        worker = min(candidates, key=lambda w: len(w.outstanding))
         payload = self._encode_payload(spec, worker.rank)
         if self.fault_hook is not None and self.fault_hook(
             self._step_index, worker.rank
         ):
             payload = dict(payload, test_crash=True)
-        worker.assigned.add(task_id)
+        self._pool.assign(worker, task_id, spec)
         worker.task_queue.put((task_id, payload))
-        return worker
 
-    def _retire(self, worker: _TrainWorker) -> None:
-        self._workers.remove(worker)
-        self._retired.append(worker)
-        self._encoders.pop(worker.rank, None)
-
-    def _replenish(self) -> None:
-        """Retire workers that died between steps and respawn within budget."""
-        for worker in [w for w in self._workers if not w.process.is_alive()]:
-            self._retire(worker)
-        while len(self._workers) < self._n_workers and self._budget.try_respawn():
-            self._workers.append(self._spawn_worker())
-            self._count_pool_event("respawn")
+    def _reap(self) -> list[tuple[int, dict]]:
+        """Retire dead workers and respawn within budget; returns orphans."""
+        used = self._pool.respawns_used
+        orphaned = self._pool.reap()
+        self._count_pool_event("respawn", self._pool.respawns_used - used)
+        return orphaned
 
     def _run_pooled(self, specs: list[dict]) -> list[dict]:
-        self._replenish()
+        self._reap()  # workers that died between steps
         pending: dict[int, dict] = {}
-        assigned: dict[int, _TrainWorker] = {}
         results: dict[int, dict] = {}
         task_order: dict[int, int] = {}
         resync_counts: dict[int, int] = {}
@@ -679,7 +601,7 @@ class DistributedBackend:
             self._task_counter += 1
             pending[task_id] = spec
             task_order[task_id] = spec_index
-            assigned[task_id] = self._dispatch(task_id, spec)
+            self._dispatch(task_id, spec)
         deadline = time.monotonic() + self._step_timeout
         try:
             while pending:
@@ -689,20 +611,18 @@ class DistributedBackend:
                         f"{len(pending)} task(s) still outstanding"
                     )
                 try:
-                    message = self._result_queue.get(timeout=_LIVENESS_POLL_S)
+                    message = self._pool.result_queue.get(timeout=_LIVENESS_POLL_S)
                 except Empty:
-                    self._recover_dead(pending, assigned)
+                    self._recover_dead()
                     continue
                 kind, key, payload = message
                 if kind == "ready":
-                    self._mark_ready(key)
+                    self._pool.mark_ready(key)
                 elif kind == "done":
                     if key in pending:
                         results[key] = payload
-                        worker = assigned.pop(key)
-                        worker.assigned.discard(key)
                         del pending[key]
-                        self._budget.forget(key)
+                        self._pool.release(key)
                 elif kind == "resync":
                     if key in pending:
                         resync_counts[key] = resync_counts.get(key, 0) + 1
@@ -713,9 +633,7 @@ class DistributedBackend:
                                 "state transport is broken"
                             )
                         self._note_resync((payload or {}).get("rank"))
-                        worker = assigned.pop(key)
-                        worker.assigned.discard(key)
-                        assigned[key] = self._dispatch(key, pending[key])
+                        self._dispatch(key, pending[key])
                 elif kind == "error":
                     if key in pending:
                         raise DistributedStepError(
@@ -727,17 +645,15 @@ class DistributedBackend:
             # not keep skewing the load balancer, and their stale queue
             # messages are ignored via the pending-key guard (task ids are
             # never reused)
-            for task_id, worker in assigned.items():
-                worker.assigned.discard(task_id)
+            for task_id in pending:
+                self._pool.release(task_id)
             raise
         return [
             results[task_id]
             for task_id in sorted(results, key=lambda t: task_order[t])
         ]
 
-    def _recover_dead(
-        self, pending: dict[int, dict], assigned: dict[int, _TrainWorker]
-    ) -> None:
+    def _recover_dead(self) -> None:
         """Re-dispatch the tasks of dead workers (bounded, deterministic).
 
         Called when the result queue went quiet: any task whose worker is no
@@ -747,25 +663,10 @@ class DistributedBackend:
         onto a surviving worker, or onto a freshly spawned replacement when
         none survives and the respawn budget allows one.
         """
-        orphaned = [
-            task_id
-            for task_id, worker in assigned.items()
-            if not worker.process.is_alive()
-        ]
-        if not orphaned:
-            return
-        # retire dead workers first so dispatch never targets them
-        dead = {assigned[task_id].rank for task_id in orphaned}
-        for worker in [w for w in self._workers if w.rank in dead]:
-            self._retire(worker)
-        # keep the pool at strength within the respawn budget
-        while len(self._workers) < self._n_workers and self._budget.try_respawn():
-            self._workers.append(self._spawn_worker())
-            self._count_pool_event("respawn")
-        for task_id in orphaned:
-            if not self._budget.try_retry(task_id):
+        for task_id, spec in self._reap():
+            if not self._pool.budget.try_retry(task_id):
                 raise DistributedStepError(
                     f"task {task_id} lost its worker more than "
-                    f"{self._budget.policy.max_task_retries} time(s)"
+                    f"{self._pool.budget.policy.max_task_retries} time(s)"
                 )
-            assigned[task_id] = self._dispatch(task_id, pending[task_id])
+            self._dispatch(task_id, spec)

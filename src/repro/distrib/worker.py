@@ -242,10 +242,10 @@ def _worker_main(
 ) -> None:
     """Training-worker process body: build the replica, then serve tasks.
 
-    The wire protocol mirrors the serving pool's: a ``("ready", rank, None)``
-    handshake after construction, then ``("done" | "error", task_id,
-    payload)`` per task, with exceptions crossing the process boundary as
-    formatted tracebacks.  A delta-cache mismatch is not an error: the
+    The :class:`~repro.distrib.pool.ProcessPool` protocol: a ``("ready",
+    rank, None)`` handshake after construction, then ``("done" | "error",
+    task_id, payload)`` per task, with exceptions crossing the process
+    boundary as formatted tracebacks.  A delta-cache mismatch is not an error: the
     worker answers ``("resync", task_id, {"rank": ...})`` and the
     coordinator re-ships the task full.  A ``None`` task shuts the worker
     down.

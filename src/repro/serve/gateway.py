@@ -2,9 +2,8 @@
 
 This is the boundary real clients cross: a stdlib-only
 (:class:`http.server.ThreadingHTTPServer`) JSON-over-HTTP front-end layered
-on the versioned serving stack.  The stable wire surface is versioned under
-``/v1``; the PR 5 unversioned paths (``/predict``, ``/healthz``, ...) remain
-as aliases that answer identically plus a ``Deprecation: true`` header.
+on the versioned serving stack.  The wire surface is versioned under
+``/v1``; any other path gets the ``not_found`` error envelope.
 
 ``POST /v1/predict``
     Body ``{"x": [[...], ...], "sampling": {...}, "version": "v2"?}``.
@@ -12,7 +11,8 @@ as aliases that answer identically plus a ``Deprecation: true`` header.
     holds any subset of the :class:`~repro.serve.executor.SamplingConfig`
     fields (unknown fields are rejected); ``version`` optionally pins a
     loaded model version (canary traffic), otherwise the request is pinned
-    to the version active at admission.  The response carries the pin
+    to the version active at admission; ``x`` must be finite (``NaN`` or
+    ``Infinity`` is ``invalid_input``).  The response carries the pin
     (``version``, ``generation``) plus ``predictions``, ``entropy``,
     ``mean_probabilities`` and ``sample_probabilities``.  Large
     ``sample_probabilities`` tensors are sent with chunked transfer
@@ -82,8 +82,8 @@ Bit-exactness across the wire: responses are JSON with floats serialised via
 ``repr`` (Python's shortest round-trip representation), so a client parsing
 ``sample_probabilities`` back into a float64 array recovers **byte-identical**
 values to a direct in-process ``mc_predict`` call -- the integration suite
-asserts exactly that through a real socket, on ``/v1`` and the legacy
-aliases, while overload traffic is being shed around the asserted requests.
+asserts exactly that through a real socket, while overload traffic is being
+shed around the asserted requests.
 """
 
 from __future__ import annotations
@@ -120,16 +120,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = ["ServingGateway", "GatewayConfig"]
 
 _SAMPLING_FIELDS = frozenset(SamplingConfig.__dataclass_fields__)
-
-#: Unversioned (PR 5) paths kept as deprecated aliases of the /v1 routes.
-_LEGACY_ALIASES = {
-    "/predict": "/v1/predict",
-    "/healthz": "/v1/healthz",
-    "/stats": "/v1/stats",
-    "/models": "/v1/models",
-    "/models/deploy": "/v1/models/deploy",
-    "/models/rollback": "/v1/models/rollback",
-}
 
 
 @dataclass(frozen=True)
@@ -212,8 +202,6 @@ class _Handler(BaseHTTPRequestHandler):
             # the trace id doubles as the request id; it rides a header so
             # the response *body* stays byte-identical with tracing off
             self.send_header("X-Request-Id", self._request_id)
-        if self._deprecated:
-            self.send_header("Deprecation", "true")
         if retry_after_s is not None:
             # the header is integer seconds (RFC 9110); the envelope carries
             # the precise float
@@ -307,7 +295,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self, method: str) -> None:
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        self._deprecated = False
         # GET requests carry no body; POST bodies are unread until
         # _read_json_body drains them (keep-alive safety on errors)
         self._body_consumed = method == "GET"
@@ -316,10 +303,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._request_id: str | None = None
         self._trace_handle = None
         self._access: dict | None = None
-        canonical = _LEGACY_ALIASES.get(path)
-        if canonical is not None:
-            self._deprecated = True
-            path = canonical
         routes = {
             ("GET", "/v1/healthz"): self._handle_healthz,
             ("GET", "/v1/stats"): self._handle_stats,
@@ -537,6 +520,12 @@ class _Handler(BaseHTTPRequestHandler):
                 "invalid_input",
                 "a request must be batched: expected (rows, ...) input, got "
                 f"shape {x.shape}",
+            )
+        if not np.isfinite(x).all():
+            # json.loads accepts NaN/Infinity tokens; the engine would serve
+            # NaN back as a non-standard JSON token
+            raise _GatewayError(
+                400, "invalid_input", '"x" must hold finite numbers only'
             )
         return x
 

@@ -52,7 +52,7 @@ from .microbatcher import MicroBatcher, PendingItem, QueueClosed
 from .registry import Deployment, ModelRegistry, UnknownVersionError
 from .shm_cache import SharedEpsilonStore
 from .stats import ServerStats, StatsSnapshot
-from ..distrib.respawn import RespawnPolicy
+from ..distrib.pool import RespawnPolicy
 from .worker import WorkerCrashError, WorkerPool
 
 __all__ = ["PredictionServer", "ServerConfig", "ServerClosed"]
@@ -84,8 +84,6 @@ class ServerConfig:
     n_workers: int = 0
     """``0`` executes tiles inline on the dispatcher thread; ``>=1`` shards
     tiles across that many replica processes."""
-    start_method: str | None = None
-    """Multiprocessing start method (``None``: fork where available)."""
     worker_respawns: int = 0
     """Total replacement workers the pool may spawn after crashes.  ``0``
     keeps the fail-fast semantics (a dead worker's tiles fail immediately);
@@ -249,7 +247,6 @@ class PredictionServer:
                 n_workers=self._config.n_workers,
                 result_handler=self._on_tile_result,
                 max_cached_configs=self._config.max_cached_configs,
-                start_method=self._config.start_method,
                 respawn=respawn,
                 fusion_handler=self._stats.record_fusion_events,
                 trace_handler=self._store_tile_spans,

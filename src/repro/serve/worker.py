@@ -18,7 +18,7 @@ healthy workers are unaffected.  A single collector thread drains the
 shared result queue, watches worker liveness, and reports completions to
 the server through a callback.
 
-With a :class:`~repro.distrib.respawn.RespawnPolicy` the pool also
+With a :class:`~repro.distrib.pool.RespawnPolicy` the pool also
 *recovers*: a crashed worker is replaced (bounded by the policy's respawn
 budget) and its orphaned tiles are re-queued onto healthy workers (bounded
 per tile) before anything is failed with :class:`WorkerCrashError`.
@@ -43,12 +43,11 @@ import threading
 import time
 import traceback
 from queue import Empty
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..distrib.respawn import RespawnBudget, RespawnPolicy
+from ..distrib.pool import PoolWorker, ProcessPool, RespawnPolicy, send
 from ..obs.trace import StageRecorder
 from .executor import MultiVersionExecutor, SamplingConfig
 from .registry import DEFAULT_VERSION
@@ -196,17 +195,6 @@ def _worker_main(
         attachment.release()
 
 
-@dataclass
-class _Worker:
-    rank: int
-    process: multiprocessing.process.BaseProcess
-    task_queue: object
-    # tile_id -> (requests, traced), kept so a respawn-enabled pool can
-    # re-queue exactly what a dead worker was holding
-    outstanding: dict[int, tuple] = field(default_factory=dict)
-    ready: bool = False
-
-
 class WorkerPool:
     """Round-robin tile sharding over ``n_workers`` replica processes.
 
@@ -214,7 +202,10 @@ class WorkerPool:
     error)`` is invoked from the collector thread with either a list of
     per-request ``(probabilities, error)`` outcomes or a tile-level
     exception -- exactly one of the two, exactly once per dispatched tile
-    (worker death included).
+    (worker death included).  The process lifecycle (spawn, handshake,
+    retire/respawn, shutdown) is the shared
+    :class:`~repro.distrib.pool.ProcessPool`; this class owns the tile
+    protocol on top of it.
     """
 
     def __init__(
@@ -226,20 +217,12 @@ class WorkerPool:
             None,
         ],
         max_cached_configs: int = 8,
-        start_method: str | None = None,
         respawn: RespawnPolicy | None = None,
         fusion_handler: Callable[[dict], None] | None = None,
         trace_handler: Callable[[int, dict], None] | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("a worker pool needs at least one worker")
-        if start_method is None:
-            # fork is substantially cheaper where available; the workers are
-            # started before the server's service threads exist, which keeps
-            # the classic fork-with-threads hazards out of the picture
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else available[0]
-        self._ctx = multiprocessing.get_context(start_method)
         # a bare replica is the single-model surface: one default version,
         # requests may omit the version pin
         if isinstance(replicas, Mapping):
@@ -248,8 +231,6 @@ class WorkerPool:
             self._replicas = {DEFAULT_VERSION: replicas}
         if not self._replicas:
             raise ValueError("a worker pool needs at least one replica version")
-        self._n_workers = n_workers
-        self._max_cached_configs = max_cached_configs
         self._result_handler = result_handler
         self._fusion_handler = fusion_handler
         # trace_handler(tile_id, {"rank", "spans"}) receives worker span
@@ -260,20 +241,21 @@ class WorkerPool:
         self._clock_offsets: dict[int, float] = {}
         # published shared-sweep descriptors, replayed to respawned workers
         self._sweeps: dict[tuple[str, SamplingConfig], SweepDescriptor] = {}
-        # no policy: the pre-respawn semantics -- dead workers are not
-        # replaced and their tiles fail immediately
-        self._budget = RespawnBudget(
-            respawn or RespawnPolicy(max_respawns=0, max_task_retries=0)
+        self._pool = ProcessPool(
+            _worker_main,
+            n_workers,
+            # no policy: the pre-respawn semantics -- dead workers are not
+            # replaced and their tiles fail immediately
+            respawn or RespawnPolicy(max_respawns=0, max_task_retries=0),
+            # snapshot of the *current* replica set: a worker respawned
+            # after a deploy rebuilds every version loaded at spawn time
+            spawn_args=lambda: (dict(self._replicas), max_cached_configs),
+            on_spawn=self._replay_sweeps,
         )
-        self._workers: list[_Worker] = []
-        self._retired: list[_Worker] = []
-        self._result_queue = self._ctx.Queue()
         self._lock = threading.Lock()
         self._next_worker = 0
-        self._next_rank = 0
         self._collector: threading.Thread | None = None
         self._stop_event = threading.Event()
-        self._started = False
         #: Last worker-side version-load traceback, if any (diagnostics).
         self.last_control_error: str | None = None
 
@@ -282,68 +264,30 @@ class WorkerPool:
     def alive_workers(self) -> int:
         """Number of workers currently believed healthy."""
         with self._lock:
-            return sum(1 for worker in self._workers if worker.process.is_alive())
+            return self._pool.alive_workers
 
     @property
     def processes(self) -> list[multiprocessing.process.BaseProcess]:
         """The worker processes (exposed for tests and diagnostics)."""
-        return [worker.process for worker in self._workers]
+        return self._pool.processes
 
     @property
     def respawns_used(self) -> int:
         """How many replacement workers have been spawned so far."""
-        return self._budget.respawns_used
+        return self._pool.respawns_used
 
     # ------------------------------------------------------------------
-    def _spawn_worker(self) -> _Worker:
-        task_queue = self._ctx.Queue()
-        rank = self._next_rank
-        self._next_rank += 1
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                rank,
-                # snapshot of the *current* replica set: a worker respawned
-                # after a deploy rebuilds every version loaded at spawn time
-                dict(self._replicas),
-                self._max_cached_configs,
-                task_queue,
-                self._result_queue,
-            ),
-            daemon=True,
-        )
-        process.start()
+    def _replay_sweeps(self, worker: PoolWorker) -> None:
         # replay published shared sweeps so a respawned replacement attaches
         # the same segments its predecessors did (FIFO: applied before any
         # tile queued afterwards)
         for descriptor in self._sweeps.values():
-            task_queue.put(("shm", descriptor))
-        return _Worker(rank=rank, process=process, task_queue=task_queue)
+            worker.task_queue.put(("shm", descriptor))
 
     def start(self, timeout: float = 60.0) -> None:
-        """Fork the workers and wait until every replica reports ready."""
-        if self._started:
-            raise RuntimeError("worker pool already started")
-        self._started = True
-        for _ in range(self._n_workers):
-            self._workers.append(self._spawn_worker())
-        ready = 0
-        while ready < self._n_workers:
-            try:
-                kind, rank, payload = self._result_queue.get(timeout=timeout)
-            except Empty as exc:
-                self.stop(abort=True)
-                raise RuntimeError(
-                    f"only {ready}/{self._n_workers} workers became ready"
-                ) from exc
-            if kind == "fatal":
-                self.stop(abort=True)
-                raise RuntimeError(f"worker failed to build its replica:\n{payload}")
-            if kind == "ready":
-                self._record_clock(rank, payload)
-                ready += 1
-        for worker in self._workers:
-            worker.ready = True
+        """Fork the workers and wait (``timeout`` in all) until every
+        replica reports ready."""
+        self._pool.start(timeout, on_ready=self._record_clock)
         self._collector = threading.Thread(
             target=self._collect, name="serve-worker-collector", daemon=True
         )
@@ -386,16 +330,12 @@ class WorkerPool:
         # pooled and inline execution can never diverge on a config field
         payload = list(requests)
         with self._lock:
-            alive = [w for w in self._workers if w.process.is_alive()]
-            if not alive:
+            candidates = self._pool.candidates()
+            if not candidates:
                 raise WorkerCrashError("no healthy workers remain in the pool")
-            # prefer workers whose replica is built (a freshly respawned
-            # replacement is alive but still constructing); fall back to the
-            # spawning ones -- their queue simply drains once they are up
-            candidates = [w for w in alive if w.ready] or alive
             worker = candidates[self._next_worker % len(candidates)]
             self._next_worker += 1
-            worker.outstanding[tile_id] = (payload, traced)
+            self._pool.assign(worker, tile_id, (payload, traced))
         worker.task_queue.put(("tile", tile_id, payload, traced))
 
     # ------------------------------------------------------------------
@@ -403,12 +343,9 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _broadcast(self, message: tuple) -> None:
         with self._lock:
-            targets = [w for w in self._workers if w.process.is_alive()]
+            targets = self._pool.live()
         for worker in targets:
-            try:
-                worker.task_queue.put(message)
-            except Exception:  # pragma: no cover - queue torn down mid-stop
-                pass
+            send(worker, message)
 
     def load_version(self, version: str, replica: "ReplicaSpec") -> None:
         """Ship ``version``'s replica to every worker (and future respawns).
@@ -461,7 +398,7 @@ class WorkerPool:
     def _collect(self) -> None:
         while not self._stop_event.is_set():
             try:
-                message = self._result_queue.get(timeout=_LIVENESS_POLL_S)
+                message = self._pool.result_queue.get(timeout=_LIVENESS_POLL_S)
             except Empty:
                 self._reap_dead_workers()
                 continue
@@ -511,9 +448,7 @@ class WorkerPool:
             # handshake clock refines the rank's span-time offset
             self._record_clock(tile_id, payload)
             with self._lock:
-                for worker in self._workers:
-                    if worker.rank == tile_id:
-                        worker.ready = True
+                self._pool.mark_ready(tile_id)
             return
         if kind == "done":
             outcomes = [
@@ -534,21 +469,14 @@ class WorkerPool:
 
     def _finish(self, tile_id: int, results, error) -> None:
         with self._lock:
-            for worker in self._workers + self._retired:
-                worker.outstanding.pop(tile_id, None)
-        self._budget.forget(tile_id)
+            self._pool.release(tile_id)
         self._result_handler(tile_id, results, error)
 
     def _reap_dead_workers(self) -> None:
+        # without a respawn budget an *idle* dead worker needs no action
+        # (dispatch skips it); with one, replace it right away
         with self._lock:
-            dead = [w for w in self._workers if not w.process.is_alive()]
-            any_dead_with_work = any(worker.outstanding for worker in dead)
-            # without a respawn budget an *idle* dead worker needs no action
-            # (dispatch skips it); with one, replace it right away
-            if not dead or not (
-                any_dead_with_work
-                or self._budget.respawns_used < self._budget.policy.max_respawns
-            ):
+            if not self._pool.needs_reap():
                 return
         # A worker may have completed tiles (results already on the queue)
         # before dying mid-way through a later one.  Deliver every queued
@@ -556,30 +484,18 @@ class WorkerPool:
         # short timeout also covers feeder-pipe data still in flight.
         while True:
             try:
-                self._handle_message(self._result_queue.get(timeout=0.1))
+                self._handle_message(self._pool.result_queue.get(timeout=0.1))
             except Empty:
                 break
-        orphaned: list[tuple[int, list]] = []
         with self._lock:
-            for worker in list(self._workers):
-                if worker.process.is_alive():
-                    continue
-                # retire the dead worker so dispatch never targets it again
-                self._workers.remove(worker)
-                self._retired.append(worker)
-                orphaned.extend(worker.outstanding.items())
-                worker.outstanding.clear()
-            # keep the pool at strength within the respawn budget
-            while len(self._workers) < self._n_workers and self._budget.try_respawn():
-                self._workers.append(self._spawn_worker())
+            orphaned = self._pool.reap()
+        budget = self._pool.budget
         for tile_id, (payload, traced) in orphaned:
             # a tile may lose its worker max_task_retries times before its
             # futures fail; with no respawn policy (max_task_retries used
             # with max_respawns=0) a retry still succeeds when another
             # healthy worker can take the tile
-            if self._budget.policy.max_task_retries and self._budget.try_retry(
-                tile_id
-            ):
+            if budget.policy.max_task_retries and budget.try_retry(tile_id):
                 try:
                     self.dispatch(tile_id, payload, traced=traced)
                     continue
@@ -595,36 +511,25 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def stop(self, abort: bool = False, timeout: float = 10.0) -> None:
-        """Shut the pool down.
+        """Shut the pool down (a second call is a no-op).
 
         With ``abort=False`` the workers drain their queued tiles and every
         completed result is still delivered through the collector before it
         stops -- only then is anything left over failed.  ``abort=True``
         terminates immediately.
         """
+        if self._pool.stopped:
+            return
         if abort:
             self._stop_event.set()
-            for worker in self._workers:
-                if worker.process.is_alive():
-                    worker.process.terminate()
-        else:
-            for worker in self._workers:
-                try:
-                    worker.task_queue.put(None)
-                except Exception:  # pragma: no cover - queue already broken
-                    pass
-        for worker in self._workers + self._retired:
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.kill()
-                worker.process.join(timeout=timeout)
+        self._pool.stop(abort=abort, timeout=timeout)
         if not abort:
             # the workers have exited, so every result they produced is on
             # the queue; let the collector deliver them before stopping it
             deadline = time.monotonic() + timeout
             while time.monotonic() < deadline:
                 with self._lock:
-                    if not any(worker.outstanding for worker in self._workers):
+                    if not any(w.outstanding for w in self._pool.workers):
                         break
                 time.sleep(0.01)
             self._stop_event.set()
@@ -634,7 +539,7 @@ class WorkerPool:
         # fail anything still outstanding (abort path)
         leftovers: list[int] = []
         with self._lock:
-            for worker in self._workers:
+            for worker in self._pool.workers:
                 leftovers.extend(worker.outstanding)
                 worker.outstanding.clear()
         for tile_id in leftovers:

@@ -67,7 +67,7 @@ def gateway(tiny_mlp_spec: ModelSpec):
 
 class TestReadEndpoints:
     def test_healthz_reports_rollout_state(self, gateway):
-        status, body = _get(gateway.url + "/healthz")
+        status, body = _get(gateway.url + "/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
         assert body["active_version"] == "v1"
@@ -76,7 +76,7 @@ class TestReadEndpoints:
         assert body["n_workers"] == 0
 
     def test_models_lists_fingerprints_and_flags(self, gateway):
-        status, body = _get(gateway.url + "/models")
+        status, body = _get(gateway.url + "/v1/models")
         assert status == 200
         assert body["active_version"] == "v1"
         by_name = {entry["version"]: entry for entry in body["versions"]}
@@ -89,8 +89,8 @@ class TestReadEndpoints:
 
     def test_stats_includes_per_version_counters(self, gateway, rng):
         x = rng.normal(size=(4, 16)).tolist()
-        _post(gateway.url + "/predict", {"x": x, "sampling": SAMPLING})
-        status, body = _get(gateway.url + "/stats")
+        _post(gateway.url + "/v1/predict", {"x": x, "sampling": SAMPLING})
+        status, body = _get(gateway.url + "/v1/stats")
         assert status == 200
         assert body["per_version"]["v1"]["completed"] == 1
         assert body["per_version"]["v1"]["rows"] == 4
@@ -107,7 +107,7 @@ class TestPredict:
     def test_served_bytes_equal_mc_predict(self, gateway, tiny_mlp_spec, rng):
         x = rng.normal(size=(6, 16))
         status, body = _post(
-            gateway.url + "/predict", {"x": x.tolist(), "sampling": SAMPLING}
+            gateway.url + "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING}
         )
         assert status == 200
         assert body["version"] == "v1" and body["generation"] == 1
@@ -127,7 +127,7 @@ class TestPredict:
         x = rng.normal(size=(2, 16)).tolist()
         code, body = _error_of(
             lambda: _post(
-                gateway.url + "/predict",
+                gateway.url + "/v1/predict",
                 {"x": x, "sampling": SAMPLING, "version": "v2"},
             )
         )
@@ -136,14 +136,14 @@ class TestPredict:
         assert "not loaded" in body["error"]["message"]
         code, body = _error_of(
             lambda: _post(
-                gateway.url + "/predict",
+                gateway.url + "/v1/predict",
                 {"x": x, "sampling": SAMPLING, "version": "ghost"},
             )
         )
         assert code == 404
 
     def test_bad_bodies_are_400(self, gateway):
-        url = gateway.url + "/predict"
+        url = gateway.url + "/v1/predict"
         for body in (
             {},  # no x
             {"x": "not numbers"},
@@ -157,9 +157,44 @@ class TestPredict:
             assert code == 400, body
             assert "error" in payload
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_input_is_400_before_admission(self, gateway, token):
+        # json.loads accepts these tokens, so the body is valid JSON
+        row = ", ".join([token] + ["0.5"] * 15)
+        request = urllib.request.Request(
+            gateway.url + "/v1/predict",
+            data=f'{{"x": [[{row}]]}}'.encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        code, body = _error_of(lambda: urllib.request.urlopen(request, timeout=30))
+        assert code == 400
+        assert body["error"]["code"] == "invalid_input"
+        assert "finite" in body["error"]["message"]
+        _, stats = _get(gateway.url + "/v1/stats")
+        assert stats["admission"]["admitted"] == 0
+        assert stats["admission"]["tracked_tenants"] == 0
+
+    def test_valid_response_is_strict_json(self, gateway, rng):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        request = urllib.request.Request(
+            gateway.url + "/v1/predict",
+            data=json.dumps(
+                {"x": rng.normal(size=(3, 16)).tolist(), "sampling": SAMPLING}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 200
+            body = json.loads(response.read(), parse_constant=reject)
+        assert np.isfinite(body["sample_probabilities"]).all()
+
     def test_non_json_body_is_400(self, gateway):
         request = urllib.request.Request(
-            gateway.url + "/predict",
+            gateway.url + "/v1/predict",
             data=b"this is not json",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -181,7 +216,7 @@ class TestPredict:
         ) as gateway:
             code, _ = _error_of(
                 lambda: _post(
-                    gateway.url + "/predict",
+                    gateway.url + "/v1/predict",
                     {"x": [[0.0] * 16] * 8, "sampling": SAMPLING},
                 )
             )
@@ -190,7 +225,7 @@ class TestPredict:
     def test_sampling_defaults_apply(self, gateway, tiny_mlp_spec, rng):
         """An omitted sampling section means the library-default config."""
         x = rng.normal(size=(2, 16))
-        status, body = _post(gateway.url + "/predict", {"x": x.tolist()})
+        status, body = _post(gateway.url + "/v1/predict", {"x": x.tolist()})
         assert status == 200
         default = SamplingConfig()
         reference = mc_predict(
@@ -210,14 +245,14 @@ class TestSwapEndpoints:
     def test_deploy_and_rollback_round_trip(self, gateway, tiny_mlp_spec, rng):
         x = rng.normal(size=(3, 16))
         status, deployed = _post(
-            gateway.url + "/models/deploy", {"version": "v2"}
+            gateway.url + "/v1/models/deploy", {"version": "v2"}
         )
         assert status == 200
         assert deployed == {
             "active_version": "v2", "generation": 2, "rolled_back": False,
         }
         _, body = _post(
-            gateway.url + "/predict", {"x": x.tolist(), "sampling": SAMPLING}
+            gateway.url + "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING}
         )
         assert body["version"] == "v2" and body["generation"] == 2
         reference = mc_predict(
@@ -229,36 +264,36 @@ class TestSwapEndpoints:
             reference.sample_probabilities,
         )
         # v1 stays loaded for instant rollback and pinned canary traffic
-        _, health = _get(gateway.url + "/healthz")
+        _, health = _get(gateway.url + "/v1/healthz")
         assert health["loaded_versions"] == ["v1", "v2"]
         _, pinned = _post(
-            gateway.url + "/predict",
+            gateway.url + "/v1/predict",
             {"x": x.tolist(), "sampling": SAMPLING, "version": "v1"},
         )
         assert pinned["version"] == "v1"
-        status, restored = _post(gateway.url + "/models/rollback", {})
+        status, restored = _post(gateway.url + "/v1/models/rollback", {})
         assert status == 200
         assert restored == {
             "active_version": "v1", "generation": 3, "rolled_back": True,
         }
         _, after = _post(
-            gateway.url + "/predict", {"x": x.tolist(), "sampling": SAMPLING}
+            gateway.url + "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING}
         )
         assert after["version"] == "v1" and after["generation"] == 3
 
     def test_deploy_unknown_version_is_404(self, gateway):
         code, _ = _error_of(
-            lambda: _post(gateway.url + "/models/deploy", {"version": "v9"})
+            lambda: _post(gateway.url + "/v1/models/deploy", {"version": "v9"})
         )
         assert code == 404
 
     def test_deploy_without_version_is_400(self, gateway):
-        code, _ = _error_of(lambda: _post(gateway.url + "/models/deploy", {}))
+        code, _ = _error_of(lambda: _post(gateway.url + "/v1/models/deploy", {}))
         assert code == 400
 
     def test_rollback_without_history_is_409(self, gateway):
         code, body = _error_of(
-            lambda: _post(gateway.url + "/models/rollback", {})
+            lambda: _post(gateway.url + "/v1/models/rollback", {})
         )
         assert code == 409
         assert body["error"]["code"] == "rollback_unavailable"
@@ -272,27 +307,22 @@ class TestWireApiV1:
                 assert response.status == 200
                 assert response.headers.get("Deprecation") is None
 
-    def test_legacy_aliases_answer_with_deprecation_header(self, gateway):
+    def test_unversioned_paths_get_not_found_envelope(self, gateway, rng):
+        """The pre-/v1 paths are gone: each is an unknown route."""
         for path in ("/healthz", "/stats", "/models"):
-            with urllib.request.urlopen(gateway.url + path, timeout=30) as response:
-                assert response.status == 200
-                assert response.headers.get("Deprecation") == "true"
-
-    def test_v1_predict_matches_legacy_alias_bytes(self, gateway, rng):
-        body = json.dumps(
-            {"x": rng.normal(size=(2, 16)).tolist(), "sampling": SAMPLING}
-        ).encode()
-        raw = {}
-        for path in ("/v1/predict", "/predict"):
-            request = urllib.request.Request(
-                gateway.url + path,
-                data=body,
-                headers={"Content-Type": "application/json"},
-                method="POST",
+            code, body = _error_of(lambda path=path: _get(gateway.url + path))
+            assert code == 404
+            assert body["error"]["code"] == "not_found"
+            assert f"no route for GET {path}" in body["error"]["message"]
+        for path in ("/predict", "/models/deploy", "/models/rollback"):
+            code, body = _error_of(
+                lambda path=path: _post(
+                    gateway.url + path,
+                    {"x": rng.normal(size=(2, 16)).tolist(), "version": "v2"},
+                )
             )
-            with urllib.request.urlopen(request, timeout=30) as response:
-                raw[path] = response.read()
-        assert raw["/v1/predict"] == raw["/predict"]
+            assert code == 404
+            assert body["error"]["code"] == "not_found"
 
     def test_unknown_sampling_fields_use_error_envelope(self, gateway):
         code, body = _error_of(
@@ -428,7 +458,7 @@ class TestLifecycle:
         )
         with ServingGateway(replica, ServerConfig(max_wait_ms=1.0)) as gateway:
             _, body = _post(
-                gateway.url + "/predict",
+                gateway.url + "/v1/predict",
                 {"x": rng.normal(size=(2, 16)).tolist(), "sampling": SAMPLING},
             )
             assert body["version"] == "v1"

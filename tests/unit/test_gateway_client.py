@@ -42,7 +42,7 @@ class TestRetryPolicy:
             (429, {"retry-after": "1"}, _envelope("rate_limited", "slow down", 0.5)),
             (200, {}, b'{"status": "ok"}'),
         ])
-        assert client._request("GET", "/healthz") == {"status": "ok"}
+        assert client.healthz() == {"status": "ok"}
         # the envelope's float hint wins over the integer header
         assert client.sleeps == [0.25, 0.5]
         assert len(client.requests) == 3
@@ -53,7 +53,7 @@ class TestRetryPolicy:
             (429, {"retry-after": "2"}, _envelope("overloaded", "shed")),
             (200, {}, b'{"status": "ok"}'),
         ])
-        client._request("GET", "/healthz")
+        client.healthz()
         assert client.sleeps == [2.0]
 
     def test_retry_wait_is_capped(self):
@@ -64,7 +64,7 @@ class TestRetryPolicy:
             ],
             max_retry_wait_s=0.2,
         )
-        client._request("GET", "/healthz")
+        client.healthz()
         assert client.sleeps == [0.2]
 
     def test_shed_error_after_retry_budget_exhausted(self):
@@ -73,7 +73,7 @@ class TestRetryPolicy:
             max_retries=2,
         )
         with pytest.raises(GatewayShedError) as info:
-            client._request("GET", "/healthz")
+            client.healthz()
         assert info.value.status == 429
         assert info.value.code == "overloaded"
         assert info.value.retry_after_s == 0.1
@@ -93,7 +93,7 @@ class TestRetryPolicy:
     def test_unparseable_error_body_falls_back_to_raw_text(self):
         client = _ScriptedClient([(500, {}, b"boom")])
         with pytest.raises(GatewayError) as info:
-            client._request("GET", "/healthz")
+            client.healthz()
         assert info.value.code == "internal"
         assert info.value.message == "boom"
 

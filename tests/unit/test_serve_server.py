@@ -286,7 +286,7 @@ class TestWorkerRespawn:
         import os
         import signal
 
-        from repro.distrib.respawn import RespawnPolicy
+        from repro.distrib import RespawnPolicy
         from repro.serve.worker import WorkerPool
 
         x = _inputs(rng)
@@ -308,14 +308,14 @@ class TestWorkerRespawn:
         )
         pool.start()
         try:
-            victim = pool._workers[0]
+            victim = pool.processes[0]
             # freeze the worker so the tile provably sits in its queue, then
             # kill it -- the deterministic version of "died mid-tile"
-            os.kill(victim.process.pid, signal.SIGSTOP)
+            os.kill(victim.pid, signal.SIGSTOP)
             pool._next_worker = 0  # route the tile to the frozen worker
             pool.dispatch(7, [(x, CFG)])
             time.sleep(0.2)
-            os.kill(victim.process.pid, signal.SIGKILL)
+            os.kill(victim.pid, signal.SIGKILL)
             assert event.wait(timeout=60.0), "requeued tile never completed"
             outcomes, error = done[7]
             assert error is None
