@@ -15,9 +15,10 @@ This module turns that hazard into a runtime proof:
   byte-identical to the per-request blocks recomputed from fresh
   contiguous operands -- including adversarial patterns (1-row blocks,
   prime sizes, cache-line straddles).  Verdicts are cached per process
-  under a signature that covers the numpy version, the battery version
-  and the active kernel-backend selection, so switching backends
-  invalidates them.
+  under a signature that covers the numpy version, the battery version,
+  the active kernel-backend selection and the BLAS thread count, so
+  switching backends or resizing the BLAS thread pool (a pool worker
+  forked from a parent with a different count) invalidates them.
 * The ``fused`` backends of the ``fused_sample_matmul`` / ``fused_im2col``
   dispatch points in :mod:`repro.core.backend` consult the probe from
   their ``supports`` hook, and their conformance gate *is* the probe
@@ -55,6 +56,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from . import backend as _backend
+from . import blas as _blas
 
 __all__ = [
     "RowStabilityProbe",
@@ -191,6 +193,8 @@ class RowStabilityProbe:
     def __init__(self, max_cached_classes: int = 512) -> None:
         self._lock = threading.RLock()
         self._classes: OrderedDict[ShapeClass, bool] = OrderedDict()
+        # class verdicts hold for the BLAS thread count they were probed at
+        self._classes_threads: int | None = None
         self._max_cached_classes = int(max_cached_classes)
         self._verdicts: dict[str, StabilityVerdict] = {}
         self._warned_signatures: set[str] = set()
@@ -208,6 +212,8 @@ class RowStabilityProbe:
                 # covers both channels: explicit pins and REPRO_BACKEND,
                 # which the registry folds into the selection at import
                 sorted(_backend.current_selection().items()),
+                # the BLAS partitions a GEMM by its thread count
+                _blas.num_threads(),
             )
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -249,7 +255,11 @@ class RowStabilityProbe:
         )
         if cls.kind not in ("nn", "nt"):
             raise ValueError(f"unknown GEMM kind {cls.kind!r}")
+        threads = _blas.num_threads()
         with self._lock:
+            if threads != self._classes_threads:
+                self._classes.clear()
+                self._classes_threads = threads
             cached = self._classes.get(cls)
             if cached is not None:
                 self._classes.move_to_end(cls)

@@ -289,6 +289,12 @@ class DistributedBackend:
         return sum(len(encoder.mirror) for encoder in self._encoders.values())
 
     @property
+    def blas_threads(self) -> int | None:
+        """BLAS threads each worker runs with (``None``: inline, or no
+        thread control on this host)."""
+        return self._pool.blas_threads
+
+    @property
     def processes(self) -> list:
         """Current worker processes (tests and diagnostics)."""
         return self._pool.processes
@@ -344,12 +350,13 @@ class DistributedBackend:
             self._pending_leaves -= 1
             changed = True
             self._count_pool_event("leave")
-        while self._pending_joins > 0:
-            pool.spawn()
-            pool.n_workers += 1
-            self._pending_joins -= 1
+        if self._pending_joins > 0:
+            pool.grow(self._pending_joins)
+            self._count_pool_event("join", self._pending_joins)
+            self._pending_joins = 0
             changed = True
-            self._count_pool_event("join")
+        if changed:
+            pool.rebalance()
         if changed and self._auto_shards:
             new_shards = max(pool.n_workers, 1)
             if new_shards != self._n_shards:

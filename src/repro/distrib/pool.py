@@ -12,7 +12,21 @@ under its own lock.
 
 A worker runs ``target(rank, *spawn_args(), task_queue, result_queue)``: it
 puts ``("ready", rank, payload)`` (or ``("fatal", rank, traceback)``) on the
-result queue, then serves tasks until it reads ``None``.
+result queue, then serves tasks until it reads ``None``.  Each worker's
+results travel over a pipe of its own, which the parent reads as one queue
+(:class:`_Results`): a shared ``multiprocessing.Queue`` guards its writers
+with one cross-process lock, and a worker killed just after a write, before
+its feeder thread released that lock, would block every other worker's
+results for good.
+
+Thread budget: on a host with ``C`` usable CPUs, ``N`` workers each running
+OpenBLAS's default thread count spin ``N`` times more BLAS threads than
+there are cores.  The pool therefore owns a CPU budget.  Every worker sets
+its BLAS thread count to :func:`repro.core.blas.worker_budget` of the pool's
+strength, in the child, before ``target`` builds anything; when a resize
+changes the budget, :meth:`ProcessPool.rebalance` queues the new count to
+every live worker, which applies it before its next task.  The parent's own
+BLAS is never touched.
 
 Recovery is bounded twice: ``max_respawns`` replacements per pool lifetime
 (a model that kills every process it touches must fail loudly) and
@@ -26,9 +40,13 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from queue import Empty
 from typing import Callable
+
+from ..core import blas
 
 __all__ = ["RespawnPolicy", "RespawnBudget", "ProcessPool", "PoolWorker", "send"]
 
@@ -82,13 +100,96 @@ class PoolWorker:
     ready: bool = False
     # work key -> caller item, so a dead worker's work can be handed back
     outstanding: dict = field(default_factory=dict)
+    # BLAS threads the worker runs its next task with (None: no control)
+    blas_threads: int | None = None
+
+
+@dataclass(frozen=True)
+class _ThreadBudget:
+    """Task-queue control message: run the BLAS with ``threads`` threads."""
+
+    threads: int
+
+
+class _BudgetedTasks:
+    """A worker's view of its task queue that applies thread-budget updates.
+
+    Budget messages share the FIFO with the caller's tasks, so an update
+    queued at a step boundary takes effect before every task queued after it.
+    """
+
+    def __init__(self, task_queue) -> None:
+        self._task_queue = task_queue
+
+    def get(self):
+        while True:
+            message = self._task_queue.get()
+            if not isinstance(message, _ThreadBudget):
+                return message
+            blas.set_num_threads(message.threads)
+
+
+class _ResultWriter:
+    """A worker's end of its result pipe, with the queue's ``put``."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+
+    def put(self, message) -> None:
+        self._conn.send(message)
+
+
+class _Results:
+    """The parent's ends of every worker's result pipe, read as one queue.
+
+    One reader at a time (the pool's caller is single-threaded or holds its
+    own collector thread); a pipe whose worker is gone is dropped at EOF.
+    """
+
+    def __init__(self) -> None:
+        self._conns: list = []
+        self._pending: deque = deque()
+
+    def add(self, conn) -> None:
+        self._conns.append(conn)
+
+    def get(self, timeout: float | None = None):
+        """The next message from any worker; ``Empty`` after ``timeout``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._pending:
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise Empty
+            for conn in wait(self._conns, remaining):
+                try:
+                    self._pending.append(conn.recv())
+                except (EOFError, OSError):
+                    self._conns.remove(conn)
+                    conn.close()
+        return self._pending.popleft()
+
+
+def _worker_entry(
+    target: Callable, blas_threads: int | None, rank: int, *args
+) -> None:
+    """Child-process body: apply the thread budget, then run ``target``."""
+    if blas_threads is not None:
+        blas.set_num_threads(blas_threads)
+    *spawn_args, task_queue, result_conn = args
+    target(
+        rank, *spawn_args, _BudgetedTasks(task_queue), _ResultWriter(result_conn)
+    )
 
 
 class ProcessPool:
     """Spawn, watch, replace and stop worker processes.
 
     ``n_workers`` is the strength :meth:`reap` respawns up to (an elastic
-    caller adjusts it); ``error`` is what a failed startup raises.
+    caller raises it through :meth:`grow` or lowers it after a
+    :meth:`retire`, then calls :meth:`rebalance`); it also sizes every
+    worker's BLAS thread budget.  ``error`` is what a failed startup raises.
     ``on_spawn`` / ``on_retire`` see every worker entering / leaving.
     """
 
@@ -118,10 +219,14 @@ class ProcessPool:
         self.budget = RespawnBudget(respawn)
         self.workers: list[PoolWorker] = []
         self.retired: list[PoolWorker] = []
-        self.result_queue = None
+        self.result_queue: _Results | None = None
         self._next_rank = 0
         self._started = False
         self.stopped = False
+        #: BLAS threads of the workers started or rebalanced last (None: the
+        #: host's BLAS offers no thread control)
+        self.blas_threads: int | None = None
+        blas.num_threads()  # resolves the BLAS entry points once, before any fork
 
     @property
     def alive_workers(self) -> int:
@@ -148,7 +253,7 @@ class ProcessPool:
         if self._started:
             raise RuntimeError("worker pool already started")
         self._started = True
-        self.result_queue = self._ctx.Queue()
+        self.result_queue = _Results()
         for _ in range(self.n_workers):
             self.spawn()
         deadline = time.monotonic() + timeout
@@ -177,13 +282,30 @@ class ProcessPool:
         rank = self._next_rank
         self._next_rank += 1
         task_queue = self._ctx.Queue()
+        results, result_conn = self._ctx.Pipe(duplex=False)
+        self.blas_threads = blas.worker_budget(self.n_workers)
         process = self._ctx.Process(
-            target=self._target,
-            args=(rank, *self._spawn_args(), task_queue, self.result_queue),
+            target=_worker_entry,
+            args=(
+                self._target,
+                self.blas_threads,
+                rank,
+                *self._spawn_args(),
+                task_queue,
+                result_conn,
+            ),
             daemon=True,
         )
         process.start()
-        worker = PoolWorker(rank=rank, process=process, task_queue=task_queue)
+        # the worker holds the only write end: its exit is the pipe's EOF
+        result_conn.close()
+        self.result_queue.add(results)
+        worker = PoolWorker(
+            rank=rank,
+            process=process,
+            task_queue=task_queue,
+            blas_threads=self.blas_threads,
+        )
         if self._on_spawn is not None:
             self._on_spawn(worker)
         self.workers.append(worker)
@@ -197,6 +319,24 @@ class ProcessPool:
             send(worker, None)
         if self._on_retire is not None:
             self._on_retire(worker)
+
+    def grow(self, n: int) -> None:
+        """Add ``n`` workers, started under the grown strength's budget."""
+        self.n_workers += n
+        for _ in range(n):
+            self.spawn()
+
+    def rebalance(self) -> None:
+        """Apply the thread budget of the current strength to live workers.
+
+        A worker whose count differs gets the new one queued ahead of its
+        next task (FIFO); the others are left alone.
+        """
+        self.blas_threads = blas.worker_budget(self.n_workers)
+        for worker in self.live():
+            if worker.blas_threads != self.blas_threads:
+                send(worker, _ThreadBudget(self.blas_threads))
+                worker.blas_threads = self.blas_threads
 
     def mark_ready(self, rank: int) -> None:
         for worker in self.workers:

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core import blas
 from ..core.checkpoint import StreamBank
 from ..nn.losses import loss_probabilities
 from ..nn.quantization import QuantizationConfig
@@ -243,16 +244,17 @@ def _worker_main(
     """Training-worker process body: build the replica, then serve tasks.
 
     The :class:`~repro.distrib.pool.ProcessPool` protocol: a ``("ready",
-    rank, None)`` handshake after construction, then ``("done" | "error",
-    task_id, payload)`` per task, with exceptions crossing the process
-    boundary as formatted tracebacks.  A delta-cache mismatch is not an error: the
-    worker answers ``("resync", task_id, {"rank": ...})`` and the
-    coordinator re-ships the task full.  A ``None`` task shuts the worker
-    down.
+    rank, {"blas_threads": n})`` handshake after construction (``n`` is the
+    thread budget the pool applied, ``None`` without BLAS thread control),
+    then ``("done" | "error", task_id, payload)`` per task, with exceptions
+    crossing the process boundary as formatted tracebacks.  A delta-cache
+    mismatch is not an error: the worker answers ``("resync", task_id,
+    {"rank": ...})`` and the coordinator re-ships the task full.  A ``None``
+    task shuts the worker down.
     """
     try:
         engine = ShardEngine(replica.build(), loss)
-        result_queue.put(("ready", rank, None))
+        result_queue.put(("ready", rank, {"blas_threads": blas.num_threads()}))
     except BaseException:  # pragma: no cover - defensive startup reporting
         result_queue.put(("fatal", rank, traceback.format_exc()))
         return

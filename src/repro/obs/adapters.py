@@ -8,7 +8,9 @@ registry -- only the scrape does -- so ``/v1/metrics`` costs nothing between
 scrapes.  :func:`bind_distrib_collectors` does the same for the distributed
 training backend's elastic-pool and delta-cache gauges (its counters --
 bytes shipped, resyncs, replans, pool events -- are pushed by the
-coordinator itself, since they change at most once per step).
+coordinator itself, since they change at most once per step).  Both planes
+export their pool's per-worker BLAS thread budget as
+``repro_pool_blas_threads{plane}``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,15 @@ from typing import Callable
 from .metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 
 __all__ = ["bind_serving_collectors", "bind_distrib_collectors"]
+
+
+def _pool_blas_gauge(registry: MetricsRegistry):
+    return registry.gauge(
+        "repro_pool_blas_threads",
+        "BLAS threads each pool worker runs with (the pool's per-worker CPU "
+        "budget); absent when the host's BLAS offers no thread control.",
+        ("plane",),
+    )
 
 
 def bind_distrib_collectors(
@@ -46,12 +57,15 @@ def bind_distrib_collectors(
         "repro_distrib_delta_mirror_entries",
         "Tensors tracked across the coordinator's per-worker delta mirrors.",
     )
+    blas_threads = _pool_blas_gauge(registry)
 
     def collect() -> None:
         workers.set(backend.alive_workers)
         joins.set(backend.pending_joins)
         leaves.set(backend.pending_leaves)
         mirror.set(backend.delta_mirror_entries)
+        if backend.blas_threads is not None:
+            blas_threads.labels(plane="training").set(backend.blas_threads)
 
     registry.register_collector(collect)
     return collect
@@ -144,6 +158,7 @@ def bind_serving_collectors(
     traces_open = registry.gauge(
         "repro_traces_open", "Traces begun but not yet finished."
     )
+    blas_threads = _pool_blas_gauge(registry)
 
     def collect() -> None:
         server = gateway.prediction_server
@@ -194,6 +209,9 @@ def bind_serving_collectors(
         tracer = server.tracer
         traces.set_total(tracer.recorded_count)
         traces_open.set(tracer.open_count)
+        workers = server.worker_stats()
+        if workers["blas_threads"] is not None:
+            blas_threads.labels(plane="serving").set(workers["blas_threads"])
 
     registry.register_collector(collect)
     return collect

@@ -64,7 +64,11 @@ with stable codes (``bad_request``, ``invalid_json``, ``truncated_body``,
 ``invalid_sampling``, ``invalid_input``, ``length_required``,
 ``body_too_large``, ``not_found``, ``unknown_version``,
 ``version_conflict``, ``rollback_unavailable``, ``rate_limited``,
-``overloaded``, ``unavailable``, ``timeout``, ``internal``).
+``overloaded``, ``unavailable``, ``timeout``, ``internal``,
+``non_finite_output``).  Responses are strict JSON: a result holding
+``NaN``/``Infinity`` (a diverged model) is a ``500 non_finite_output``
+envelope, never a non-standard token; every error envelope is counted in
+``repro_gateway_errors_total{code}``.
 
 **Admission control** (multi-tenant overload policy): tenants are
 identified by a header (default ``X-Tenant``) and mapped to tiers
@@ -170,6 +174,23 @@ class _GatewayError(Exception):
         self.retry_after_s = retry_after_s
 
 
+def _non_finite_output() -> _GatewayError:
+    return _GatewayError(
+        500,
+        "non_finite_output",
+        "the result holds a non-finite number (NaN or Infinity), which JSON "
+        "cannot carry; the served model has likely diverged",
+    )
+
+
+def _encode_json(payload: dict) -> str:
+    """Strict JSON: a non-finite float is a typed 500, not a bare NaN token."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise _non_finite_output() from None
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler; the owning gateway hangs off the HTTP server object."""
 
@@ -215,7 +236,7 @@ class _Handler(BaseHTTPRequestHandler):
             # request on this socket; drop the connection.  A fully-read
             # body keeps the connection reusable even after a 4xx.
             self.close_connection = True
-        body = json.dumps(payload).encode()
+        body = _encode_json(payload).encode()
         self._send_common_headers(status, retry_after_s)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -231,6 +252,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _respond_error(self, exc: _GatewayError) -> None:
+        if self.gateway._obs_enabled:
+            self.gateway._m_errors.labels(code=exc.code).inc()
         error: dict = {"code": exc.code, "message": str(exc)}
         if exc.retry_after_s is not None:
             error["retry_after_s"] = exc.retry_after_s
@@ -414,6 +437,7 @@ class _Handler(BaseHTTPRequestHandler):
             "waiting_requests": gateway.prediction_server.waiting_requests,
             "retry_after_s_estimate": gateway.compute_retry_after_s(),
         }
+        snapshot["workers"] = gateway.prediction_server.worker_stats()
         self._respond(200, snapshot)
 
     def _handle_models(self) -> None:
@@ -660,15 +684,18 @@ class _Handler(BaseHTTPRequestHandler):
         exactly where the buffered encoding would place it -- so the
         concatenated chunks are byte-identical to the non-streaming body.
         Peak memory is O(rows * classes) instead of O(S * rows * classes).
+        The head is encoded strictly before the 200 headers go out; it
+        carries ``mean_probabilities``, the mean over the samples, so a
+        non-finite sample already fails there and still gets its envelope.
         """
+        head = _encode_json(payload)
         self._send_common_headers(200, None)
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
-        head = json.dumps(payload)
         assert head.endswith("}")
         self._write_chunk(head[:-1].encode() + b', "sample_probabilities": [')
         for index in range(samples.shape[0]):
-            piece = json.dumps(samples[index].tolist())
+            piece = json.dumps(samples[index].tolist(), allow_nan=False)
             if index:
                 # json.dumps' default item separator, so the concatenation
                 # matches the buffered encoding byte for byte
@@ -819,6 +846,11 @@ class ServingGateway:
             "repro_gateway_shed_total",
             "Predict requests shed at the gateway, by error code.",
             ("reason",),
+        )
+        self._m_errors = self.metrics.counter(
+            "repro_gateway_errors_total",
+            "Error envelopes sent by the gateway, by error code.",
+            ("code",),
         )
         self.access_log: _AccessLog | None = None
 

@@ -405,6 +405,18 @@ class PredictionServer:
         """Throughput / latency / occupancy snapshot."""
         return self._stats.snapshot()
 
+    def worker_stats(self) -> dict:
+        """The worker block of ``/v1/stats``: configured and live workers,
+        respawns used, and the BLAS threads each worker runs with (``None``
+        inline or when the host's BLAS offers no thread control)."""
+        pool = self._pool
+        return {
+            "n_workers": self._config.n_workers,
+            "alive": pool.alive_workers if pool is not None else 0,
+            "respawns_used": pool.respawns_used if pool is not None else 0,
+            "blas_threads": pool.blas_threads if pool is not None else None,
+        }
+
     @property
     def pending_rows(self) -> int:
         """Rows currently queued behind the micro-batcher (snapshot)."""

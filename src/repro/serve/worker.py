@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..core import blas
 from ..distrib.pool import PoolWorker, ProcessPool, RespawnPolicy, send
 from ..obs.trace import StageRecorder
 from .executor import MultiVersionExecutor, SamplingConfig
@@ -111,7 +112,14 @@ def _worker_main(
         # traced done message carries another sample, and the parent keeps
         # the running-minimum offset (each sample overshoots by exactly its
         # transit latency, so the minimum converges on the true offset)
-        result_queue.put(("ready", rank, {"clock": time.monotonic()}))
+        # it also reports the BLAS thread budget the pool applied
+        result_queue.put(
+            (
+                "ready",
+                rank,
+                {"clock": time.monotonic(), "blas_threads": blas.num_threads()},
+            )
+        )
     except BaseException:  # pragma: no cover - defensive startup reporting
         result_queue.put(("fatal", rank, traceback.format_exc()))
         return
@@ -275,6 +283,11 @@ class WorkerPool:
     def respawns_used(self) -> int:
         """How many replacement workers have been spawned so far."""
         return self._pool.respawns_used
+
+    @property
+    def blas_threads(self) -> int | None:
+        """BLAS threads each worker runs with (``None``: no thread control)."""
+        return self._pool.blas_threads
 
     # ------------------------------------------------------------------
     def _replay_sweeps(self, worker: PoolWorker) -> None:

@@ -95,6 +95,13 @@ class TestReadEndpoints:
         assert body["per_version"]["v1"]["completed"] == 1
         assert body["per_version"]["v1"]["rows"] == 4
         assert body["requests_completed"] == 1
+        # inline execution: no worker pool, no BLAS budget to report
+        assert body["workers"] == {
+            "n_workers": 0,
+            "alive": 0,
+            "respawns_used": 0,
+            "blas_threads": None,
+        }
 
     def test_unknown_route_is_404(self, gateway):
         code, body = _error_of(lambda: _get(gateway.url + "/nope"))
@@ -191,6 +198,34 @@ class TestPredict:
             assert response.status == 200
             body = json.loads(response.read(), parse_constant=reject)
         assert np.isfinite(body["sample_probabilities"]).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the forward
+    @pytest.mark.parametrize("streamed", [False, True], ids=["buffered", "chunked"])
+    def test_non_finite_result_is_typed_500(self, tiny_mlp_spec, rng, streamed):
+        model = tiny_mlp_spec.build_bayesian(seed=11)
+        for parameter in model.parameters():
+            parameter.value[...] = np.inf
+        registry = ModelRegistry.single(ReplicaSpec.capture(tiny_mlp_spec, model))
+        config = GatewayConfig(stream_threshold_bytes=1 if streamed else 1 << 22)
+        with ServingGateway(registry, ServerConfig(max_wait_ms=1.0), config) as gateway:
+            code, body = _error_of(
+                lambda: _post(
+                    gateway.url + "/v1/predict",
+                    {"x": rng.normal(size=(2, 16)).tolist(), "sampling": SAMPLING},
+                )
+            )
+            assert code == 500
+            assert body["error"]["code"] == "non_finite_output"
+            # the connection and the server stay healthy
+            status, _ = _get(gateway.url + "/v1/healthz")
+            assert status == 200
+            if gateway._obs_enabled:
+                # counted before the envelope is written, so no race with
+                # the handler's post-response bookkeeping
+                assert (
+                    'repro_gateway_errors_total{code="non_finite_output"} 1'
+                    in gateway.metrics.render()
+                )
 
     def test_non_json_body_is_400(self, gateway):
         request = urllib.request.Request(

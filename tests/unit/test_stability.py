@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.core.backend as backend
-from repro.core import stability
+from repro.core import blas, stability
 from repro.core.stability import (
     RowStabilityProbe,
     ShapeClass,
@@ -205,6 +205,29 @@ def test_signature_covers_backend_selection():
         pinned = p.signature()
     assert p.signature() == base
     assert pinned != base
+
+
+@pytest.mark.skipif(
+    blas.num_threads() is None, reason="the host BLAS offers no thread control"
+)
+def test_blas_thread_count_forces_a_fresh_verdict():
+    # a pool worker forked from a parent with a different BLAS thread count
+    # must not reuse the parent's cached verdicts
+    p = RowStabilityProbe()
+    default = blas.num_threads()
+    other = 1 if default > 1 else 2
+    base = p.signature()
+    first = p.verdict()
+    p.splits_ok("nn", np.float64, 8, 4, (1, 3))
+    runs = p._battery_runs
+    with blas.threads(other):
+        assert p.signature() != base
+        fresh = p.verdict()
+        assert fresh is not first and fresh.signature != first.signature
+        p.splits_ok("nn", np.float64, 8, 4, (1, 3))
+        assert p._battery_runs == runs + 1  # the class is re-probed too
+    assert p.signature() == base
+    assert p.verdict() is first
 
 
 def test_failed_verdict_blocks_fusion_and_warns_once_when_forced(monkeypatch):
